@@ -7,6 +7,27 @@ the key into the current filter, and a key's hotness is the number of
 filters that contain it (recency-weighted frequency with bounded
 memory).  Ageing is free — the oldest filter is cleared when the window
 rotates.
+
+Hash contract
+-------------
+The filter state, and so every hotness and frequency level, is a pure
+function of the constructor arguments and the key stream:
+
+* **Seeds.** ``np.random.default_rng(seed)`` draws, filter by filter,
+  ``n_hashes`` integers in ``[1, 2**63 - 1)`` (``rng.integers(...,
+  dtype=np.int64)``); each becomes the odd 64-bit multiplier
+  ``(drawn << 1) | 1``.
+* **Positions.** Hash ``i`` of a filter sets or tests bit
+  ``((((key + 0x9E3779B97F4A7C15) * seed_i) & (2**64 - 1)) >> 17)
+  % bits_per_filter`` (Knuth-style multiplicative hashing in 64-bit
+  modular arithmetic).  Keys are integers in ``[0, 2**64)``.
+* **Rotation.** ``record_read`` inserts into the current filter, then,
+  once ``window`` reads have been recorded into it, advances to the
+  next filter in the ring and clears it.
+
+``tests/core/test_hotness.py`` pins this contract against a numpy
+transcription of the formula.  The arithmetic runs on plain Python ints
+over one ``bytearray`` per filter: numpy is used only to draw the seeds.
 """
 
 from __future__ import annotations
@@ -15,32 +36,9 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-
-class _BloomFilter:
-    """A fixed-size Bloom filter over integer keys."""
-
-    def __init__(self, n_bits: int, seeds: np.ndarray):
-        self.n_bits = n_bits
-        self.bits = np.zeros(n_bits, dtype=bool)
-        self._seeds = seeds
-
-    def _positions(self, key: int) -> np.ndarray:
-        # Knuth-style multiplicative hashing with per-function odd seeds;
-        # masked to 64 bits to emulate the intended modular arithmetic.
-        mixed = (np.uint64(key) + np.uint64(0x9E3779B97F4A7C15)) * self._seeds
-        return (mixed >> np.uint64(17)) % np.uint64(self.n_bits)
-
-    def insert(self, key: int) -> None:
-        self.bits[self._positions(key)] = True
-
-    def contains(self, key: int) -> bool:
-        return bool(self.bits[self._positions(key)].all())
-
-    def clear(self) -> None:
-        self.bits[:] = False
-
-    def fill_ratio(self) -> float:
-        return float(self.bits.mean())
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+_SHIFT = 17
 
 
 class MultiBloomHotness:
@@ -79,26 +77,32 @@ class MultiBloomHotness:
             raise ConfigurationError("need at least 2 frequency levels")
         rng = np.random.default_rng(seed)
         self.n_filters = n_filters
+        self.bits_per_filter = bits_per_filter
         self.freq_levels = freq_levels
         self.window = window
-        self._filters = []
+        self._seeds: list[tuple[int, ...]] = []
         for _ in range(n_filters):
-            seeds = rng.integers(1, 2**63 - 1, size=n_hashes, dtype=np.int64)
-            seeds = (seeds.astype(np.uint64) << np.uint64(1)) | np.uint64(1)
-            self._filters.append(_BloomFilter(bits_per_filter, seeds))
+            drawn = rng.integers(1, 2**63 - 1, size=n_hashes, dtype=np.int64)
+            self._seeds.append(tuple((int(d) << 1) | 1 for d in drawn))
+        # One byte per filter bit: 1 when set.
+        self._bits = [bytearray(bits_per_filter) for _ in range(n_filters)]
         self._current = 0
         self._accesses_in_window = 0
 
     def record_read(self, key: int) -> None:
         """Record one read of ``key`` and rotate the window if due."""
-        self._filters[self._current].insert(key)
+        mixed = _mixed(key)
+        n_bits = self.bits_per_filter
+        bits = self._bits[self._current]
+        for seed in self._seeds[self._current]:
+            bits[(((mixed * seed) & _MASK64) >> _SHIFT) % n_bits] = 1
         self._accesses_in_window += 1
         if self._accesses_in_window >= self.window:
             self._rotate()
 
     def hotness(self, key: int) -> int:
         """Raw hotness: how many filters have seen ``key`` (0..n_filters)."""
-        return sum(1 for f in self._filters if f.contains(key))
+        return self._count(key)
 
     def frequency_level(self, key: int) -> int:
         """The key's read-frequency level ``Lf`` in ``[1, freq_levels]``.
@@ -108,15 +112,35 @@ class MultiBloomHotness:
         reaches level 2 only when 3+ filters have seen it — one access
         in the current window must not mark a page hot.
         """
-        count = self.hotness(key)
-        scaled = 1 + (count * self.freq_levels) // (self.n_filters + 1)
+        scaled = 1 + (self._count(key) * self.freq_levels) // (self.n_filters + 1)
         return min(scaled, self.freq_levels)
 
     def fill_ratios(self) -> list[float]:
         """Diagnostic: fraction of set bits in each filter."""
-        return [f.fill_ratio() for f in self._filters]
+        return [bits.count(1) / self.bits_per_filter for bits in self._bits]
+
+    def _count(self, key: int) -> int:
+        # A filter contains the key when all its hash bits are set; the
+        # first clear bit settles it, so cold filters cost one hash.
+        mixed = _mixed(key)
+        n_bits = self.bits_per_filter
+        count = 0
+        for bits, seeds in zip(self._bits, self._seeds):
+            for seed in seeds:
+                if not bits[(((mixed * seed) & _MASK64) >> _SHIFT) % n_bits]:
+                    break
+            else:
+                count += 1
+        return count
 
     def _rotate(self) -> None:
         self._current = (self._current + 1) % self.n_filters
-        self._filters[self._current].clear()
+        self._bits[self._current] = bytearray(self.bits_per_filter)
         self._accesses_in_window = 0
+
+
+def _mixed(key: int) -> int:
+    """The key-dependent half of every hash position: ``key + golden``."""
+    if not 0 <= key <= _MASK64:
+        raise ConfigurationError(f"hotness key {key} outside [0, 2**64)")
+    return int(key) + _GOLDEN

@@ -11,6 +11,7 @@ pass its own geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import ConfigurationError
 from repro.units import KIB
@@ -101,9 +102,15 @@ class SsdConfig:
         """Total physical pages in normal mode."""
         return self.n_blocks * self.pages_per_block
 
-    @property
+    @cached_property
     def logical_pages(self) -> int:
-        """Host-visible pages (physical minus over-provisioning)."""
+        """Host-visible pages (physical minus over-provisioning).
+
+        Cached on first use: every LPN range check reads it.  The cache
+        lives in the instance ``__dict__``, outside the dataclass
+        fields, so equality, hashing and ``asdict`` see only the fields;
+        the frozen ``__setattr__`` keeps it read-only.
+        """
         return int(self.physical_pages / (1.0 + self.over_provisioning))
 
     @property

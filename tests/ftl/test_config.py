@@ -1,5 +1,7 @@
 """Tests for the SSD configuration."""
 
+from dataclasses import FrozenInstanceError, asdict, replace
+
 import pytest
 
 from repro.ftl.config import NandTiming, SsdConfig
@@ -57,3 +59,14 @@ class TestSsdConfig:
             SsdConfig(gc_free_block_threshold=0)
         with pytest.raises(ConfigurationError):
             SsdConfig(n_blocks=10, gc_free_block_threshold=5)
+
+    def test_logical_pages_is_cached_outside_the_fields(self):
+        config = SsdConfig(n_blocks=100, pages_per_block=64)
+        fresh = SsdConfig(n_blocks=100, pages_per_block=64)
+        assert config.logical_pages == int(6400 / 1.27)
+        assert config.__dict__["logical_pages"] == config.logical_pages
+        assert config == fresh and hash(config) == hash(fresh)
+        assert asdict(config) == asdict(fresh)
+        with pytest.raises(FrozenInstanceError):
+            config.logical_pages = 1
+        assert replace(config, n_blocks=200).logical_pages == int(12800 / 1.27)
