@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,9 +104,9 @@ class SystemConfig:
         return int(self.reduced_pool_fraction * self.ssd.logical_pages)
 
 
-@dataclass(frozen=True)
-class ReadServiceBreakdown:
-    """Per-read sensing-round decomposition of a host read's service.
+class ReadServiceBreakdown(NamedTuple):
+    """Per-read sensing-round decomposition of a host read's service
+    (an immutable tuple, built once per host read).
 
     The legacy queue engine only needs the scalar sum
     (:attr:`service_us`); the discrete-event simulator uses the rounds:
@@ -201,7 +202,12 @@ class StorageSystem(ABC):
             )
         self.buffer = WriteBuffer(config.buffer_pages)
         self._pending_background_us = 0.0
-        self._retry_tails: dict[int, tuple[float, ...]] = {}
+        #: ``(provisioned levels, first-round us, retry tail)`` per
+        #: ``(required levels, mode)``: the policy hooks and the frozen
+        #: latency model are pure in those two inputs.
+        self._read_costs: dict[
+            tuple[int, CellMode], tuple[int, float, tuple[float, ...]]
+        ] = {}
 
     # --- host interface ------------------------------------------------------------
 
@@ -231,16 +237,27 @@ class StorageSystem(ABC):
                 raw_ber=0.0,
             )
         info = self.ssd.read_info(lpn, now_us)
+        mode = info.mode
+        stats = self.ssd.stats
         policy = self.level_adjust
         hits0, misses0 = policy.cache_hits, policy.cache_misses
-        required = policy.extra_levels(info.mode, info.pe_cycles, info.age_hours)
-        ber = policy.ber(info.mode, info.pe_cycles, info.age_hours)
-        self.ssd.stats.ber_cache_hits += policy.cache_hits - hits0
-        self.ssd.stats.ber_cache_misses += policy.cache_misses - misses0
-        self.ssd.stats.record_extra_levels(required)
-        provisioned = self._provisioned_levels(required, info.mode)
-        first_round = self._read_latency(required, info.mode)
-        post_read = self._after_read(lpn, info.mode, required, now_us)
+        required = policy.extra_levels(mode, info.pe_cycles, info.age_hours)
+        ber = policy.ber(mode, info.pe_cycles, info.age_hours)
+        stats.ber_cache_hits += policy.cache_hits - hits0
+        stats.ber_cache_misses += policy.cache_misses - misses0
+        stats.record_extra_levels(required)
+        cost_key = (required, mode)
+        cost = self._read_costs.get(cost_key)
+        if cost is None:
+            provisioned = self._provisioned_levels(required, mode)
+            cost = (
+                provisioned,
+                self._read_latency(required, mode),
+                self._retry_tail(provisioned),
+            )
+            self._read_costs[cost_key] = cost
+        provisioned, first_round, retry_tail = cost
+        post_read = self._after_read(lpn, mode, required, now_us)
         if self.ssd.fault_injector is not None:
             # Read scrub: refresh pages whose BER crossed the trigger;
             # the rewrite is background work, not this read's latency.
@@ -250,11 +267,11 @@ class StorageSystem(ABC):
         return ReadServiceBreakdown(
             lpn=lpn,
             buffer_hit=False,
-            mode=info.mode,
+            mode=mode,
             required_levels=required,
             provisioned_levels=provisioned,
             first_round_us=first_round,
-            retry_rounds_us=self._retry_tail(provisioned),
+            retry_rounds_us=retry_tail,
             post_read_us=post_read,
             raw_ber=ber,
             block=info.block,
@@ -321,16 +338,12 @@ class StorageSystem(ABC):
 
     def _retry_tail(self, provisioned_levels: int) -> tuple[float, ...]:
         """Incremental retry-round costs above ``provisioned_levels``."""
-        tail = self._retry_tails.get(provisioned_levels)
-        if tail is None:
-            tail = tuple(
-                self.latency.retry_increment_us(level)
-                for level in range(
-                    provisioned_levels + 1, self.level_adjust.sensing.max_levels + 1
-                )
+        return tuple(
+            self.latency.retry_increment_us(level)
+            for level in range(
+                provisioned_levels + 1, self.level_adjust.sensing.max_levels + 1
             )
-            self._retry_tails[provisioned_levels] = tail
-        return tail
+        )
 
     def _after_read(
         self, lpn: int, mode: CellMode, required_levels: int, now_us: float

@@ -15,7 +15,7 @@ Three components:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.hlo import HloIdentifier
 from repro.errors import ConfigurationError
@@ -81,8 +81,7 @@ class ReducedCellPool:
         return len(self._pages) / self.max_pages
 
 
-@dataclass(frozen=True)
-class AccessDecision:
+class AccessDecision(NamedTuple):
     """Outcome of one read observation.
 
     Attributes
@@ -99,6 +98,13 @@ class AccessDecision:
     is_hlo: bool
     promote: bool
     demote_lpn: int | None = None
+
+
+#: The two no-migration outcomes, shared (decisions are immutable).
+_STAY = {
+    False: AccessDecision(is_hlo=False, promote=False),
+    True: AccessDecision(is_hlo=True, promote=False),
+}
 
 
 class AccessEval:
@@ -127,9 +133,9 @@ class AccessEval:
         is_hlo = self.identifier.observe_read(lpn, extra_levels)
         if lpn in self.pool:
             self.pool.touch(lpn)
-            return AccessDecision(is_hlo=is_hlo, promote=False)
+            return _STAY[is_hlo]
         if not is_hlo or self.pool.max_pages == 0:
-            return AccessDecision(is_hlo=is_hlo, promote=False)
+            return _STAY[is_hlo]
         evicted = self.pool.admit(lpn)
         self.promotions += 1
         if evicted is not None:

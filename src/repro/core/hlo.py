@@ -110,6 +110,19 @@ class HloIdentifier:
         self.reads_observed = 0
         self.hlo_hits = 0
 
+    @property
+    def rule(self) -> OverheadRule:
+        """The scoring rule; replacing it clears the verdict memo."""
+        return self._rule
+
+    @rule.setter
+    def rule(self, rule: OverheadRule) -> None:
+        self._rule = rule
+        #: The (frozen) rule's verdict per ``(freq_level, extra_levels)``.
+        #: Only computed verdicts are stored, so out-of-range inputs
+        #: still raise on every read.
+        self._verdicts: dict[tuple[int, int], bool] = {}
+
     def observe_read(self, lpn: int, extra_levels: int) -> bool:
         """Record a read of logical page ``lpn`` and classify it.
 
@@ -117,8 +130,12 @@ class HloIdentifier:
         """
         self.hotness.record_read(lpn)
         freq_level = self.hotness.frequency_level(lpn)
-        bucket = self.rule.sensing_bucket(extra_levels)
-        is_hlo = self.rule.is_hlo(freq_level, bucket)
+        key = (freq_level, extra_levels)
+        is_hlo = self._verdicts.get(key)
+        if is_hlo is None:
+            rule = self._rule
+            is_hlo = rule.is_hlo(freq_level, rule.sensing_bucket(extra_levels))
+            self._verdicts[key] = is_hlo
         self.reads_observed += 1
         if is_hlo:
             self.hlo_hits += 1

@@ -40,6 +40,11 @@ class CellMode(Enum):
     REDUCED = "reduced"
     SLC = "slc"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with equality; ``Enum.__hash__`` (a Python-level
+    # ``hash(self._name_)``) would run on every per-read memo lookup.
+    __hash__ = object.__hash__
+
 
 class LevelAdjustPolicy:
     """BER / sensing-level oracle for both cell modes.
@@ -156,7 +161,21 @@ class LevelAdjustPolicy:
     def _cache_key(
         self, mode: CellMode, pe_cycles: float, age_hours: float
     ) -> tuple[CellMode, int, float]:
-        return (mode, self._pe_key(pe_cycles), self._age_key(age_hours))
+        """The memo cell of a query: P/E rounded to the nearest bucket,
+        age snapped to the nearer of its two surrounding grid points."""
+        if pe_cycles < 0:
+            raise ConfigurationError(f"negative P/E cycles: {pe_cycles}")
+        if age_hours < 0:
+            raise ConfigurationError(f"negative age: {age_hours}")
+        bucket = self.pe_bucket
+        grid = self.age_grid
+        index = bisect.bisect_right(grid, age_hours)
+        if index < len(grid):
+            low, high = grid[index - 1], grid[index]
+            age_key = high if (age_hours - low) > (high - age_hours) else low
+        else:
+            age_key = grid[-1]
+        return (mode, int(round(pe_cycles / bucket)) * bucket, age_key)
 
     def _evaluate_ber(self, cache_key: tuple[CellMode, int, float]) -> float:
         mode, pe_key, age_key = cache_key
@@ -169,18 +188,3 @@ class LevelAdjustPolicy:
         ).total
         self._ber_cache[cache_key] = value
         return value
-
-    def _pe_key(self, pe_cycles: float) -> int:
-        if pe_cycles < 0:
-            raise ConfigurationError(f"negative P/E cycles: {pe_cycles}")
-        return int(round(pe_cycles / self.pe_bucket)) * self.pe_bucket
-
-    def _age_key(self, age_hours: float) -> float:
-        if age_hours < 0:
-            raise ConfigurationError(f"negative age: {age_hours}")
-        index = bisect.bisect_right(self.age_grid, age_hours) - 1
-        # Snap to the nearer of the two surrounding grid points.
-        if index + 1 < len(self.age_grid):
-            low, high = self.age_grid[index], self.age_grid[index + 1]
-            return high if (age_hours - low) > (high - age_hours) else low
-        return self.age_grid[-1]

@@ -53,7 +53,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ConfigurationError, SimulationError

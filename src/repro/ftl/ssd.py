@@ -25,7 +25,7 @@ into read-only degraded mode instead of crashing — see docs/FAULTS.md.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ _MODE_TO_INT = {CellMode.NORMAL: 0, CellMode.REDUCED: 1, CellMode.SLC: 2}
 _INT_TO_MODE = {value: mode for mode, value in _MODE_TO_INT.items()}
 
 
-@dataclass(frozen=True)
-class PageReadInfo:
+class PageReadInfo(NamedTuple):
     """Everything a read-latency policy needs to know about a page."""
 
     lpn: int
@@ -784,7 +783,7 @@ class Ssd:
 
     def _age_hours(self, lpn: int, now_us: float) -> float:
         write_time = self._write_time_hours[lpn]
-        if np.isnan(write_time):
+        if write_time != write_time:  # NaN: never written in the run
             return float(self._initial_age_hours[lpn])
         return max(us_to_hours(now_us) - float(write_time), 0.0)
 

@@ -57,13 +57,23 @@ from repro.traces.schema import TraceRecord
 #: Sentinel for the default (enabled, default-config) retry model.
 _DEFAULT_RETRY = object()
 
+#: Event kinds as module constants (the loop compares them per event).
+_ARRIVAL = EventKind.ARRIVAL
+_OP_COMPLETE = EventKind.OP_COMPLETE
+_REQUEST_COMPLETE = EventKind.REQUEST_COMPLETE
+_GC_DRAIN = EventKind.GC_DRAIN
+
 #: Profiler section key per event kind (precomputed: the loop is hot).
 _EVENT_KEYS = {
-    EventKind.ARRIVAL: "event.arrival",
-    EventKind.OP_COMPLETE: "event.op_complete",
-    EventKind.REQUEST_COMPLETE: "event.request_complete",
-    EventKind.GC_DRAIN: "event.gc_drain",
+    _ARRIVAL: "event.arrival",
+    _OP_COMPLETE: "event.op_complete",
+    _REQUEST_COMPLETE: "event.request_complete",
+    _GC_DRAIN: "event.gc_drain",
 }
+
+
+def _arrival_event(pending: PendingRequest) -> Event:
+    return Event(pending.record.timestamp_us, _ARRIVAL, pending.index)
 
 
 class DesSimulationEngine:
@@ -226,13 +236,18 @@ class DesSimulationEngine:
         if first is None:
             raise ConfigurationError("request source produced no requests")
         pending: dict[int, PendingRequest] = {first.index: first}
-        heap.push(self._arrival_event(first))
+        heap.push(_arrival_event(first))
         source_blocked = False
         recorder = self.recorder
+        # The SSD routes its own windowed series and media events into
+        # this run's observers; the previous ones come back on exit, so
+        # a later run of the same system never writes into this one's.
+        ssd = self.system.ssd
+        detached = ssd.window_recorder, ssd.channel_telemetry
         if recorder is not None:
-            self.system.ssd.window_recorder = recorder
+            ssd.window_recorder = recorder
         if self.channel_telemetry is not None:
-            self.system.ssd.channel_telemetry = self.channel_telemetry
+            ssd.channel_telemetry = self.channel_telemetry
 
         ops_dispatched = 0
         ops_completed = 0
@@ -242,78 +257,74 @@ class DesSimulationEngine:
         last_completion_us = origin_us
         profiler = self.profiler
         crashed = False
+        queue = heap._heap  # the heap's list: emptiness without a call
+        pop = heap.pop
+        push = heap.push
         loop_t0 = perf_counter()
-        while len(heap):
-            if profiler is not None:
-                iter_t0 = profiler.clock()
-            event = heap.pop()
-            if crash_us is not None and event.time_us >= crash_us:
-                # Sudden power-off: nothing at or after the cut happens.
-                crashed = True
-                break
-            if profiler is not None:
-                profiler.begin(_EVENT_KEYS[event.kind], iter_t0)
-            if recorder is not None:
-                # Virtual time is monotone over popped events, and no
-                # observation is ever recorded before the current event
-                # time — windows behind this event are final, so online
-                # consumers (the health monitor) may close them now.
-                # The source flushes its between-poll observations
-                # (queue-pair submissions stamped at submit time) first.
-                source.advance_to(event.time_us)
-                recorder.advance(event.time_us)
-            if event.kind is EventKind.ARRIVAL:
-                index = event.request_index
+        try:
+            while queue:
+                if profiler is not None:
+                    iter_t0 = profiler.clock()
+                time_us, kind, index, _, value_us = pop()
+                if crash_us is not None and time_us >= crash_us:
+                    # Sudden power-off: nothing at or after the cut happens.
+                    crashed = True
+                    break
+                if profiler is not None:
+                    profiler.begin(_EVENT_KEYS[kind], iter_t0)
                 if recorder is not None:
-                    inflight += 1
-                    recorder.add("sim.arrivals", event.time_us)
-                    recorder.sample(
-                        "sim.inflight_requests", event.time_us, inflight
+                    # Virtual time is monotone over popped events, and no
+                    # observation is ever recorded before the current
+                    # event time — windows behind this event are final,
+                    # so online consumers (the health monitor) may close
+                    # them now.  The source flushes its between-poll
+                    # observations (queue-pair submissions stamped at
+                    # submit time) first.
+                    source.advance_to(time_us)
+                    recorder.advance(time_us)
+                if kind is _ARRIVAL:
+                    if recorder is not None:
+                        inflight += 1
+                        recorder.add("sim.arrivals", time_us)
+                        recorder.sample("sim.inflight_requests", time_us, inflight)
+                    ops_dispatched += self._dispatch(
+                        pending[index], scheduler, heap, result, warmup_count
                     )
-                ops_dispatched += self._dispatch(
-                    pending[index], scheduler, heap, result, warmup_count
-                )
-                nxt = source.next_request(event.time_us)
-                if nxt is not None:
-                    pending[nxt.index] = nxt
-                    heap.push(self._arrival_event(nxt))
-                source_blocked = nxt is None
-            elif event.kind is EventKind.OP_COMPLETE:
-                ops_completed += 1
-            elif event.kind is EventKind.REQUEST_COMPLETE:
-                requests_completed += 1
-                last_completion_us = event.time_us
-                if recorder is not None:
-                    inflight -= 1
-                    recorder.sample(
-                        "sim.inflight_requests", event.time_us, inflight
-                    )
-                    recorder.sample(
-                        "sim.degraded.read_only",
-                        event.time_us,
-                        float(self.system.ssd.read_only),
-                    )
-                    recorder.sample(
-                        "sim.response_us", event.time_us, event.value_us
-                    )
-                done = pending.pop(event.request_index)
-                if event.request_index >= warmup_count:
-                    result.record(done.record.is_write, event.value_us)
-                source.on_complete(
-                    event.request_index, event.time_us, event.value_us
-                )
-                if source_blocked:
-                    nxt = source.next_request(event.time_us)
+                    nxt = source.next_request(time_us)
                     if nxt is not None:
                         pending[nxt.index] = nxt
-                        heap.push(self._arrival_event(nxt))
-                        source_blocked = False
-            # GC_DRAIN events are observational; no state to update.
-            if profiler is not None:
-                profiler.end()
-        loop_s = perf_counter() - loop_t0
-        if recorder is not None:
-            recorder.flush()
+                        push(_arrival_event(nxt))
+                    source_blocked = nxt is None
+                elif kind is _OP_COMPLETE:
+                    ops_completed += 1
+                elif kind is _REQUEST_COMPLETE:
+                    requests_completed += 1
+                    last_completion_us = time_us
+                    if recorder is not None:
+                        inflight -= 1
+                        recorder.sample("sim.inflight_requests", time_us, inflight)
+                        recorder.sample(
+                            "sim.degraded.read_only", time_us, float(ssd.read_only)
+                        )
+                        recorder.sample("sim.response_us", time_us, value_us)
+                    done = pending.pop(index)
+                    if index >= warmup_count:
+                        result.record(done.record.is_write, value_us)
+                    source.on_complete(index, time_us, value_us)
+                    if source_blocked:
+                        nxt = source.next_request(time_us)
+                        if nxt is not None:
+                            pending[nxt.index] = nxt
+                            push(_arrival_event(nxt))
+                            source_blocked = False
+                # GC_DRAIN events are observational; no state to update.
+                if profiler is not None:
+                    profiler.end()
+            loop_s = perf_counter() - loop_t0
+            if recorder is not None:
+                recorder.flush()
+        finally:
+            ssd.window_recorder, ssd.channel_telemetry = detached
 
         if crashed:
             # Crash-specific conservation: every emitted request either
@@ -371,14 +382,6 @@ class DesSimulationEngine:
 
     # --- internals ------------------------------------------------------------------
 
-    @staticmethod
-    def _arrival_event(pending: PendingRequest) -> Event:
-        return Event(
-            time_us=pending.record.timestamp_us,
-            kind=EventKind.ARRIVAL,
-            request_index=pending.index,
-        )
-
     def _dispatch(
         self,
         pending: PendingRequest,
@@ -395,17 +398,21 @@ class DesSimulationEngine:
         from ``pending.t0_us`` (the submission time), so ingress-side
         queueing shows up as queue wait.
         """
-        record = pending.record
-        index = pending.index
+        record, index, t0, attrs = pending
         arrival = record.timestamp_us
-        t0 = pending.t0_us
         footprint = self.system.config.footprint_pages
+        channel_of = self.system.ssd.channel_of
+        n_channels = self.n_channels
         ops_by_channel: dict[int, list[int]] = {}
         for lpn in record.pages():
             if footprint:
                 lpn %= footprint
-            channel = self.system.ssd.channel_of(lpn, self.n_channels)
-            ops_by_channel.setdefault(channel, []).append(lpn)
+            channel = channel_of(lpn, n_channels)
+            lpns = ops_by_channel.get(channel)
+            if lpns is None:
+                ops_by_channel[channel] = [lpn]
+            else:
+                lpns.append(lpn)
 
         trace: Span | None = None
         profiler = self.profiler
@@ -417,7 +424,7 @@ class DesSimulationEngine:
                 t0,
                 index=index,
                 n_pages=record.n_pages,
-                **pending.attrs,
+                **attrs,
             )
             if profiler is not None:
                 profiler.end()
@@ -426,38 +433,29 @@ class DesSimulationEngine:
         dispatched = 0
         first_op_start: float | None = None
         recorder = self.recorder
+        telemetry = self.channel_telemetry
+        push = heap.push
         for channel, lpns in ops_by_channel.items():
             if profiler is not None:
                 profiler.begin("phase.gc")
-            report = scheduler.admit(channel, arrival)
+            start, drained_us, stall_us = scheduler.admit(channel, arrival)
             if profiler is not None:
                 profiler.end()
-            if report.drained_us + report.stall_us > 0.0:
-                heap.push(
-                    Event(
-                        time_us=report.start_us,
-                        kind=EventKind.GC_DRAIN,
-                        channel=channel,
-                        value_us=report.drained_us + report.stall_us,
-                    )
-                )
+            background_us = drained_us + stall_us
+            if background_us > 0.0:
+                push(Event(start, _GC_DRAIN, -1, channel, background_us))
                 if recorder is not None:
                     # Background work is binned at the admitting
                     # request's service start, not spread across the
                     # idle gap it actually drained into.
-                    recorder.add(
-                        f"sim.channel.{channel}.gc_us",
-                        report.start_us,
-                        report.drained_us + report.stall_us,
-                    )
-                if trace is not None and report.stall_us > 0.0:
+                    recorder.add(f"sim.channel.{channel}.gc_us", start, background_us)
+                if trace is not None and stall_us > 0.0:
                     trace.span(
                         "gc_stall",
-                        report.start_us - report.stall_us,
+                        start - stall_us,
                         channel=channel,
-                        drained_us=report.drained_us,
-                    ).end(report.start_us)
-            start = report.start_us
+                        drained_us=drained_us,
+                    ).end(start)
             for lpn in lpns:
                 service, breakdown, rounds, uncorrectable = self._service_us(
                     record, lpn, start, index, warmup_count, result, channel
@@ -466,15 +464,7 @@ class DesSimulationEngine:
                 op_start = op_done - service
                 if first_op_start is None or op_start < first_op_start:
                     first_op_start = op_start
-                heap.push(
-                    Event(
-                        time_us=op_done,
-                        kind=EventKind.OP_COMPLETE,
-                        request_index=index,
-                        channel=channel,
-                        value_us=service,
-                    )
-                )
+                push(Event(op_done, _OP_COMPLETE, index, channel, service))
                 dispatched += 1
                 if recorder is not None:
                     recorder.add(f"sim.channel.{channel}.ops", op_start)
@@ -489,7 +479,6 @@ class DesSimulationEngine:
                             )
                         if uncorrectable:
                             recorder.add("sim.uncorrectable.reads", op_start)
-                telemetry = self.channel_telemetry
                 if (
                     telemetry is not None
                     and breakdown is not None
@@ -514,7 +503,7 @@ class DesSimulationEngine:
                         rounds=rounds,
                         uncorrectable=uncorrectable,
                         iterations=iteration_trail,
-                        tenant=pending.attrs.get("tenant"),
+                        tenant=attrs.get("tenant"),
                     )
                     if recorder is not None:
                         recorder.add(
@@ -552,14 +541,7 @@ class DesSimulationEngine:
         scheduler.add_background(self.system.take_background_us())
         if profiler is not None:
             profiler.end()
-        heap.push(
-            Event(
-                time_us=completion,
-                kind=EventKind.REQUEST_COMPLETE,
-                request_index=index,
-                value_us=completion - t0,
-            )
-        )
+        push(Event(completion, _REQUEST_COMPLETE, index, -1, completion - t0))
         queue_wait = (
             max(0.0, first_op_start - t0) if first_op_start is not None else 0.0
         )

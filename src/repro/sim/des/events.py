@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from repro.errors import SimulationError
 
@@ -25,9 +26,9 @@ class EventKind(Enum):
     GC_DRAIN = "gc-drain"
 
 
-@dataclass(frozen=True)
-class Event:
-    """One timestamped simulation event.
+class Event(NamedTuple):
+    """One timestamped simulation event (an immutable tuple: the loop
+    builds several per request).
 
     Attributes
     ----------

@@ -29,16 +29,26 @@ pin this).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from repro.errors import ConfigurationError
 from repro.traces.schema import TraceRecord
 
 
-@dataclass(frozen=True)
-class PendingRequest:
-    """One request the engine should inject next.
+#: The shared, read-only default of :attr:`PendingRequest.attrs`.
+_NO_ATTRS: Mapping[str, Any] = MappingProxyType({})
+
+
+class _PendingRequestFields(NamedTuple):
+    record: TraceRecord
+    index: int
+    t0_us: float
+    attrs: Mapping[str, Any] = _NO_ATTRS
+
+
+class PendingRequest(_PendingRequestFields):
+    """One request the engine should inject next (an immutable tuple).
 
     Attributes
     ----------
@@ -59,17 +69,21 @@ class PendingRequest:
         identity, per-tenant sequence number, ...).
     """
 
-    record: TraceRecord
-    index: int
-    t0_us: float
-    attrs: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.t0_us > self.record.timestamp_us:
+    def __new__(
+        cls,
+        record: TraceRecord,
+        index: int,
+        t0_us: float,
+        attrs: Mapping[str, Any] = _NO_ATTRS,
+    ) -> "PendingRequest":
+        if t0_us > record.timestamp_us:
             raise ConfigurationError(
-                f"request {self.index} submitted at {self.t0_us} after its "
-                f"dispatch at {self.record.timestamp_us}"
+                f"request {index} submitted at {t0_us} after its "
+                f"dispatch at {record.timestamp_us}"
             )
+        return super().__new__(cls, record, index, t0_us, attrs)
 
 
 class RequestSource:

@@ -32,6 +32,7 @@ feeds the uncorrectable-read branch
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,13 @@ class ReadRetryConfig:
             raise ConfigurationError("margin_factor outside (0, 1)")
 
 
-@dataclass(frozen=True)
-class RetryOutcome:
+#: Uniforms drawn from the retry RNG per refill.  ``rng.random(n)``
+#: yields exactly the next ``n`` values of ``n`` scalar ``rng.random()``
+#: calls, so block size never changes a run's outcomes.
+DRAW_BLOCK = 1024
+
+
+class RetryOutcome(NamedTuple):
     """One flash read's sampled trip through the sensing ladder.
 
     Attributes
@@ -105,6 +111,9 @@ class ReadRetryModel:
     def __init__(self, config: ReadRetryConfig | None = None):
         self.config = config or ReadRetryConfig()
         self._rng = np.random.default_rng(self.config.seed)
+        #: Uniforms drawn ahead in blocks of :data:`DRAW_BLOCK`, stored
+        #: reversed so ``pop()`` hands them out in draw order.
+        self._draws: list[float] = []
 
     def failure_probability(self, raw_ber: float, margin_levels: int) -> float:
         """Probability one sensing round fails to decode.
@@ -147,14 +156,22 @@ class ReadRetryModel:
             breakdown.raw_ber,
             breakdown.provisioned_levels - breakdown.required_levels,
         )
-        if not breakdown.retry_rounds_us:
-            return RetryOutcome(0, 0.0, True, probability)
+        draws = self._draws
+        margin_factor = self.config.margin_factor
         rounds = 0
         extra_us = 0.0
         for increment_us in breakdown.retry_rounds_us:
-            if self._rng.random() >= probability:
+            if not draws:
+                draws = self._refill()
+            if draws.pop() >= probability:
                 return RetryOutcome(rounds, extra_us, False, 0.0)
             rounds += 1
             extra_us += increment_us
-            probability *= self.config.margin_factor
+            probability *= margin_factor
         return RetryOutcome(rounds, extra_us, True, probability)
+
+    def _refill(self) -> list[float]:
+        draws = self._rng.random(DRAW_BLOCK).tolist()
+        draws.reverse()
+        self._draws = draws
+        return draws

@@ -16,6 +16,7 @@ the equivalence the DES tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -31,8 +32,7 @@ class ChannelState:
     ops_committed: int = 0
 
 
-@dataclass
-class DrainReport:
+class DrainReport(NamedTuple):
     """What :meth:`ChannelScheduler.admit` did to the channel's backlog."""
 
     start_us: float

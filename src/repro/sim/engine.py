@@ -131,6 +131,22 @@ class SimulationEngine:
         is whatever the dispatched prefix mutated — exactly what
         :mod:`repro.ftl.recovery` has to remount from.
         """
+        # The SSD routes its own windowed series and media events into
+        # this run's observers; the previous ones come back on exit, so
+        # a later run of the same system never writes into this one's.
+        ssd = self.system.ssd
+        detached = ssd.window_recorder, ssd.channel_telemetry
+        try:
+            return self._replay(records, workload_name, crash_us)
+        finally:
+            ssd.window_recorder, ssd.channel_telemetry = detached
+
+    def _replay(
+        self,
+        records: Iterable[TraceRecord],
+        workload_name: str,
+        crash_us: float | None,
+    ) -> SimulationResult:
         records = list(records)
         if not records:
             raise ConfigurationError("empty trace")

@@ -90,3 +90,16 @@ class TestIdentifier:
                 rule=OverheadRule(freq_levels=3),
                 hotness=MultiBloomHotness(freq_levels=2),
             )
+
+    def test_negative_levels_raise_on_every_read(self):
+        identifier = self.make_identifier()
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                identifier.observe_read(1, extra_levels=-1)
+
+    def test_replacing_the_rule_drops_memoised_verdicts(self):
+        identifier = self.make_identifier()
+        assert not identifier.observe_read(1, extra_levels=3)  # cold
+        # Threshold 2 makes a cold but expensive read HLO (1 x 2 >= 2).
+        identifier.rule = OverheadRule(threshold=2)
+        assert identifier.observe_read(2, extra_levels=3)

@@ -6,8 +6,6 @@ blocks retired in the same order, the same uncorrectable reads — and
 therefore produce the identical :class:`repro.sim.DesSimulationResult`.
 """
 
-import pytest
-
 from repro.baselines.systems import SystemConfig, build_system
 from repro.faults import FaultConfig, FaultInjector
 from repro.ftl.config import SsdConfig

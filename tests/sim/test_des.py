@@ -14,6 +14,8 @@ from repro.sim import (
     RetryOutcome,
     SimulationEngine,
 )
+from repro.obs import ChannelTelemetry, HealthMonitor, WindowedRecorder
+from repro.sim.des import TraceSource
 from repro.sim.des.events import Event, EventHeap, EventKind
 from repro.sim.des.scheduler import ChannelScheduler
 from repro.traces.schema import TraceRecord
@@ -349,6 +351,56 @@ class TestRetryOutcome:
         )
         assert clean.uncorrectable_reads == 0
         assert "uncorrectable_reads" not in clean.stats
+
+
+class TestObserverLifetime:
+    """A run's observers are detached from the SSD when the run ends, so
+    a later run of the same system neither writes into nor trips over
+    the finished run's recorder and telemetry."""
+
+    def observed_run(self, engine_cls, shared_policy, monitor):
+        system = tiny_system(shared_policy=shared_policy)
+        recorder = WindowedRecorder(window_us=10_000.0)
+        if monitor:
+            HealthMonitor(recorder).attach()
+        telemetry = ChannelTelemetry(system.config.ssd.n_blocks)
+        engine = engine_cls(
+            system, n_channels=2, recorder=recorder, channel_telemetry=telemetry
+        )
+        engine.run(mixed_trace(600), "observed")
+        assert system.ssd.window_recorder is None
+        assert system.ssd.channel_telemetry is None
+        return system, recorder, telemetry
+
+    @pytest.mark.parametrize("engine_cls", [DesSimulationEngine, SimulationEngine])
+    def test_detached_rerun_after_monitored_run(self, engine_cls, shared_policy):
+        system, _, _ = self.observed_run(engine_cls, shared_policy, monitor=True)
+        result = engine_cls(system, n_channels=2).run(mixed_trace(600), "again")
+        assert result.stats["gc_runs"] > 0
+
+    @pytest.mark.parametrize("engine_cls", [DesSimulationEngine, SimulationEngine])
+    def test_rerun_leaves_finished_observers_alone(self, engine_cls, shared_policy):
+        system, recorder, telemetry = self.observed_run(
+            engine_cls, shared_policy, monitor=False
+        )
+        windows, erases = recorder.to_dict(), telemetry.erases.copy()
+        assert erases.sum() > 0
+        engine_cls(system, n_channels=2).run(mixed_trace(600), "again")
+        assert recorder.to_dict() == windows
+        assert np.array_equal(telemetry.erases, erases)
+
+    def test_observers_restored_when_the_run_fails(self, shared_policy):
+        system = tiny_system(shared_policy=shared_policy)
+        recorder = WindowedRecorder(window_us=10_000.0)
+
+        class Broken(TraceSource):
+            def on_complete(self, index, completion_us, response_us):
+                raise RuntimeError("source failed")
+
+        engine = DesSimulationEngine(system, n_channels=2, recorder=recorder)
+        with pytest.raises(RuntimeError):
+            engine.run_source(Broken(mixed_trace(50)), "broken")
+        assert system.ssd.window_recorder is None
 
 
 class TestValidationAndWarmup:
